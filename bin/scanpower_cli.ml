@@ -230,6 +230,15 @@ let observability_cmd =
 let atpg_cmd =
   let run spec seed fault_engine out tele =
     let* metrics_out = tele in
+    let fault_engine =
+      match fault_engine with
+      | Some e -> e
+      | None ->
+        E.raise_error ~code:E.Usage ~stage:"cli"
+          "the ppsfp fault engine was removed (it measured slower than \
+           batched CPT on every benchmark); use --fault-engine cpt, the \
+           default, which detects the same faults"
+    in
     let* c = mapped spec in
     let config = { Atpg.Pattern_gen.default_config with seed; fault_engine } in
     let outcome = Atpg.Pattern_gen.generate ~config c in
@@ -254,23 +263,36 @@ let atpg_cmd =
       & info [ "o"; "output" ] ~doc:"Write the test vectors to a file.")
   in
   let fault_engine =
+    (* the removed ppsfp value still parses, so that [run] can reject it
+       with a usage error naming its replacement *)
+    let engine_conv =
+      let parse = function
+        | "cpt" -> Ok (Some Atpg.Fault_simulation.Cpt)
+        | "cone" -> Ok (Some Atpg.Fault_simulation.Cone)
+        | "ppsfp" -> Ok None
+        | s ->
+          Error
+            (`Msg
+              (Printf.sprintf "invalid fault engine %S (expected cpt or cone)"
+                 s))
+      in
+      let print fmt e =
+        Format.pp_print_string fmt
+          (match e with
+          | Some Atpg.Fault_simulation.Cpt -> "cpt"
+          | Some Atpg.Fault_simulation.Cone -> "cone"
+          | None -> "ppsfp")
+      in
+      Arg.conv (parse, print)
+    in
     Arg.(
       value
-      & opt
-          (enum
-             [
-               ("cpt", Atpg.Fault_simulation.Cpt);
-               ("cone", Atpg.Fault_simulation.Cone);
-               ("ppsfp", Atpg.Fault_simulation.Ppsfp);
-             ])
-          Atpg.Fault_simulation.Cpt
-      & info [ "fault-engine" ]
+      & opt engine_conv (Some Atpg.Fault_simulation.Cpt)
+      & info [ "fault-engine" ] ~docv:"ENGINE"
           ~doc:
             "Fault-simulation engine: $(b,cpt) (critical path tracing, \
-             default), $(b,ppsfp) (512-pattern parallel single-fault \
-             propagation with fault dropping) or $(b,cone) (full-cone \
-             reference). All three are bit-identical; cone is the slow \
-             golden reference.")
+             default) or $(b,cone) (full-cone reference). Both are \
+             bit-identical; cone is the slow golden reference.")
   in
   Cmd.v
     (Cmd.info "atpg" ~doc:"Generate a compacted stuck-at test set (PODEM).")
@@ -545,44 +567,10 @@ let validate_cmd =
           diagnostic (not just the first) and exits 3 if any are errors.")
     Term.(term_result (const run $ specs))
 
-(* ---- parallel execution mode (sweep + serve) ---- *)
-
-let parallel_arg =
-  let mode_conv =
-    let parse s =
-      match Runner.strategy_of_string s with
-      | Some st -> Ok st
-      | None ->
-        Error
-          (`Msg
-            (Printf.sprintf
-               "invalid parallel mode %S (expected domains, processes or auto)"
-               s))
-    in
-    let print fmt st =
-      Format.pp_print_string fmt (Runner.strategy_to_string st)
-    in
-    Arg.conv (parse, print)
-  in
-  Arg.(
-    value
-    & opt mode_conv Runner.Auto
-    & info [ "parallel" ] ~docv:"MODE"
-        ~env:(Cmd.Env.info "SCANPOWER_PARALLEL")
-        ~doc:
-          "How parallel work executes: $(b,processes) forks one killable \
-           worker per job (crash/timeout isolation, per-worker telemetry); \
-           $(b,domains) fans jobs over in-process worker domains (no fork \
-           cost, shared warm caches, but no per-job timeout and no \
-           per-worker telemetry capture); $(b,auto) picks domains only when \
-           no process-only capability (timeout, telemetry capture, signal \
-           handling, fault injection) is in play. Also honoured from the \
-           environment.")
-
 (* ---- sweep ---- *)
 
 let sweep_cmd =
-  let run names jobs parallel seeds timeout retries backoff deadline no_cache
+  let run names jobs seeds timeout retries backoff deadline no_cache
       cache_dir journal resume out csv progress tele =
     let* metrics_out = tele in
     let names = if names = [] then Circuits.names else names in
@@ -656,7 +644,7 @@ let sweep_cmd =
     let t0 = Unix.gettimeofday () in
     let report =
       Fun.protect ~finally:stop_progress (fun () ->
-          Scanpower.Sweep.run ~jobs ~parallel ~timeout_s:timeout ~retries
+          Scanpower.Sweep.run ~jobs ~timeout_s:timeout ~retries
             ~backoff_s:backoff ~deadline_s:deadline ~handle_signals:true ?cache
             ?journal_path:journal ~resume ~on_event points)
     in
@@ -716,8 +704,7 @@ let sweep_cmd =
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Parallel workers. 1 runs everything sequentially in-process; \
-             larger values fan jobs out over forked workers or domains \
-             (see $(b,--parallel)).")
+             larger values fan jobs out over forked worker processes.")
   in
   let seeds =
     Arg.(
@@ -823,7 +810,7 @@ let sweep_cmd =
           interrupted batch without redoing completed jobs.")
     Term.(
       term_result
-        (const run $ names $ jobs $ parallel_arg $ seeds $ timeout $ retries
+        (const run $ names $ jobs $ seeds $ timeout $ retries
        $ backoff $ deadline $ no_cache $ cache_dir $ journal $ resume $ out
        $ csv $ progress $ telemetry_term))
 
@@ -910,7 +897,7 @@ let serve_cmd =
   let module Daemon = Scanpower_server.Daemon in
   let module Supervisor = Scanpower_server.Supervisor in
   let run socket registry_capacity max_queue max_request_bytes
-      default_deadline parallel quiet snapshot snapshot_every max_heap_mw
+      default_deadline quiet snapshot snapshot_every max_heap_mw
       supervise restart_budget restart_refill tele =
     let* metrics_out = tele in
     let config =
@@ -920,7 +907,6 @@ let serve_cmd =
         max_queue;
         max_request_bytes;
         default_deadline_s = default_deadline;
-        parallel;
         log = (if quiet then None else Some stdout);
         snapshot_path = snapshot;
         snapshot_every_s = snapshot_every;
@@ -1050,7 +1036,7 @@ let serve_cmd =
     Term.(
       term_result
         (const run $ socket_arg $ registry_capacity $ max_queue
-       $ max_request_bytes $ default_deadline $ parallel_arg $ quiet
+       $ max_request_bytes $ default_deadline $ quiet
        $ snapshot $ snapshot_every $ max_heap_mw $ supervise
        $ restart_budget $ restart_refill $ telemetry_term))
 

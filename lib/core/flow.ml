@@ -93,13 +93,12 @@ let stat_evictions = ref 0
 let prepare_tick = ref 0
 let prepare_capacity = ref 0
 
-(* The memo is process-global and the Domains runner strategy calls
-   [prepare_cached] from worker domains, so every table access takes
-   this lock (a concurrent Hashtbl resize during a read is memory-safe
-   in OCaml 5 but not value-safe). The expensive [prepare] itself runs
-   outside the lock: two domains racing on the same cold key both
-   compute, and the second insert wins — wasted work, never a wrong
-   result, and no domain ever blocks behind another circuit's ATPG. *)
+(* The memo is process-global, so every table access takes this lock:
+   a library caller may run [prepare_cached] from several domains (a
+   concurrent Hashtbl resize during a read is memory-safe in OCaml 5
+   but not value-safe). The expensive [prepare] itself runs outside
+   the lock: two domains racing on the same cold key both compute, and
+   the second insert wins — wasted work, never a wrong result. *)
 let prepare_mutex = Mutex.create ()
 
 let with_memo_lock f =
@@ -174,8 +173,7 @@ let prepare_key ?atpg_config c =
       cfg.Atpg.Pattern_gen.reverse_compact
       (match cfg.Atpg.Pattern_gen.fault_engine with
       | Atpg.Fault_simulation.Cone -> "cone"
-      | Atpg.Fault_simulation.Cpt -> "cpt"
-      | Atpg.Fault_simulation.Ppsfp -> "ppsfp")
+      | Atpg.Fault_simulation.Cpt -> "cpt")
   in
   Digest.to_hex
     (Digest.string (Bench_writer.to_string c ^ "\x00" ^ cfg_text))

@@ -20,11 +20,7 @@
     ({!Daemon.config.generation}): it is echoed in [health]/[stats]
     values — how a chaos test observes the restart — and folded into
     the [Worker_kill] fault-injection roll key so a spec that kills
-    generation N deterministically spares N+1.
-
-    The supervisor parent never spawns domains (OCaml 5 permanently
-    forbids [fork] afterwards); {!run} refuses to start if this
-    process already has. *)
+    generation N deterministically spares N+1. *)
 
 type config = {
   daemon : Daemon.config;  (** per-generation daemon configuration *)
@@ -39,5 +35,5 @@ val default_config : config
 val run : ?config:config -> unit -> unit
 (** Supervise until the child drains cleanly. Raises
     {!Scanpower_errors.Error} with code [Runtime] when the restart
-    budget is exhausted or when fork is unavailable, and
+    budget is exhausted, and
     [Invalid_argument] when [restart_budget < 1]. *)

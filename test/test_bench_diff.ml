@@ -36,22 +36,18 @@ let check_kind_classification () =
   check "compile_s" D.Time;
   check "fault_sim_cpt_s" D.Time;
   check "fault_sim_pattern_p99_s" D.Time;
-  check "fault_sim_d2_s" D.Time;
+  check "fault_sim_cone_s" D.Time;
   check "packed_shift_w8_s" D.Time;
   check "packed_speedup" D.Rate;
   check "packed_w4_speedup" D.Rate;
-  check "fault_sim_par_d2_speedup" D.Rate;
+  check "packed_auto_speedup" D.Rate;
   (* the [_events_s] suffix wins over the bare [_s] time suffix *)
   check "fault_sim_events_s" D.Rate;
-  (* the ppsfp additions follow the suffix convention *)
-  check "fault_sim_ppsfp_s" D.Time;
-  check "fault_sim_ppsfp_speedup" D.Rate;
-  check "ppsfp_faults_detected" D.Count;
+  check "faults_detected" D.Count;
   (* gate-bearing rate pinned by literal name, independent of suffix *)
   check "serve_warm_speedup" D.Rate;
   (* run configuration, compared but never gating *)
   check "packed_width" D.Config;
-  check "domains" D.Config;
   check "packed_auto_width" D.Config
 
 let check_identical_is_clean () =
@@ -135,9 +131,13 @@ let write_temp text =
   path
 
 let check_config_change_is_clean () =
-  (* a deliberate re-run at a different width/fan-out must not gate *)
-  let old_m = ("packed_width", D.I 8) :: ("domains", D.I 4) :: base_metrics in
-  let new_m = ("packed_width", D.I 4) :: ("domains", D.I 2) :: base_metrics in
+  (* a deliberate re-run at a different width must not gate *)
+  let old_m =
+    ("packed_width", D.I 8) :: ("packed_auto_width", D.I 4) :: base_metrics
+  in
+  let new_m =
+    ("packed_width", D.I 4) :: ("packed_auto_width", D.I 2) :: base_metrics
+  in
   let r = D.diff (mk [ ("s344", old_m) ]) (mk [ ("s344", new_m) ]) in
   Alcotest.(check bool) "config drift never regresses" false
     (D.has_regression r);
@@ -183,7 +183,27 @@ let check_schema_bump_pairs () =
   let r' = D.diff old_f' new_f' in
   Alcotest.(check bool) "/2 baseline gates /3 cleanly" false
     (D.has_regression r');
-  Alcotest.(check int) "/2-/3 shared metrics paired" 2 r'.D.compared
+  Alcotest.(check int) "/2-/3 shared metrics paired" 2 r'.D.compared;
+  (* /4 dropped the PPSFP fields: a /3 baseline still pairs the shared
+     metrics, and the dropped one is reported as missing *)
+  let p3' =
+    write_temp
+      "{\"schema\":\"scanpower.bench_kernels/3\",\"fast\":true,\
+       \"circuits\":{\"s344\":{\"nodes\":195,\"fault_sim_ppsfp_s\":3.0e-03}}}"
+  in
+  let p4 =
+    write_temp
+      "{\"schema\":\"scanpower.bench_kernels/4\",\"fast\":true,\
+       \"circuits\":{\"s344\":{\"nodes\":195}}}"
+  in
+  let old_f'' = D.load p3' and new_f'' = D.load p4 in
+  Sys.remove p3';
+  Sys.remove p4;
+  let r'' = D.diff old_f'' new_f'' in
+  Alcotest.(check int) "/3-/4 shared metrics paired" 1 r''.D.compared;
+  Alcotest.(check (list (pair string string))) "/3-only metric missing"
+    [ ("s344", "fault_sim_ppsfp_s") ]
+    r''.D.only_old_metrics
 
 (* the serve stage's amortisation contract: a serve_warm_speedup drop
    beyond the rate threshold must gate, through the literal-name pin,

@@ -207,6 +207,71 @@ let check_flow_validation_warns_but_proceeds () =
   Alcotest.(check bool) "flow still runs" true
     (p.Scanpower.Flow.atpg.Atpg.Pattern_gen.total_faults > 0)
 
+(* Removed CLI values fail as usage errors: [(args, exit code, stderr
+   needle)]. A removed engine value is a structured usage error (exit
+   2) naming its replacement; a removed flag is Cmdliner's own
+   unknown-option error (exit 124). The arguments are chosen so the
+   command would fail differently, and fast, if the value were still
+   accepted. *)
+let removed_cli_values =
+  let missing_dir =
+    Filename.concat (Filename.get_temp_dir_name ()) "scanpower-no-such-dir"
+  in
+  [
+    ([ "atpg"; "s27"; "--fault-engine"; "ppsfp" ], 2, "--fault-engine cpt");
+    ( [ "sweep"; "no-such-circuit"; "--parallel"; "domains" ],
+      124,
+      "--parallel" );
+    ( [ "serve"; "--parallel"; "processes"; "--socket";
+        Filename.concat missing_dir "s.sock" ],
+      124,
+      "--parallel" );
+  ]
+
+let cli_exe =
+  Filename.concat
+    (Filename.dirname Sys.executable_name)
+    (Filename.concat Filename.parent_dir_name "bin/scanpower_cli.exe")
+
+(* Run the CLI with [args]; returns (exit code, stderr). *)
+let run_cli args =
+  let err_path = Filename.temp_file "scanpower_cli" ".err" in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let err = Unix.openfile err_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let pid =
+    Unix.create_process cli_exe
+      (Array.of_list (cli_exe :: args))
+      null null err
+  in
+  Unix.close null;
+  Unix.close err;
+  let rec wait () =
+    try snd (Unix.waitpid [] pid)
+    with Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
+  in
+  let status = wait () in
+  let stderr = In_channel.with_open_bin err_path In_channel.input_all in
+  Sys.remove err_path;
+  match status with
+  | Unix.WEXITED code -> (code, stderr)
+  | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> (-1, stderr)
+
+let contains ~needle s =
+  let n = String.length needle and h = String.length s in
+  let rec go i = i + n <= h && (String.sub s i n = needle || go (i + 1)) in
+  go 0
+
+let check_removed_cli_values () =
+  List.iter
+    (fun (args, code, needle) ->
+      let label = String.concat " " args in
+      let got, stderr = run_cli args in
+      Alcotest.(check int) (label ^ ": exit code") code got;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: stderr %S names %S" label stderr needle)
+        true (contains ~needle stderr))
+    removed_cli_values
+
 let suite =
   [
     Alcotest.test_case "exit codes" `Quick check_exit_codes;
@@ -220,4 +285,6 @@ let suite =
     Alcotest.test_case "errorf raises formatted" `Quick check_errorf_and_raise;
     Alcotest.test_case "flow validation warns but proceeds" `Quick
       check_flow_validation_warns_but_proceeds;
+    Alcotest.test_case "removed CLI values are usage errors" `Quick
+      check_removed_cli_values;
   ]

@@ -5,9 +5,7 @@
    telemetry flush on drain, and a seeded protocol fuzzer that hammers
    a live daemon with mutated frames.
 
-   Every live test forks a real daemon (or supervisor) child, so this
-   suite must run before anything spawns a domain in the test process
-   — OCaml 5 permanently refuses [Unix.fork] afterwards. *)
+   Every live test forks a real daemon (or supervisor) child. *)
 
 module P = Scanpower_server.Protocol
 module D = Scanpower_server.Daemon
