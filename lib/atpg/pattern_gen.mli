@@ -36,6 +36,10 @@ type outcome = {
   detected : int;
   untestable : int;
   aborted : int;
+      (** faults ATPG gave up on: PODEM returned [Aborted] (backtrack
+          or iteration limit), plus faults whose PODEM cube was
+          generated but that escaped detection once the cube's don't
+          cares were randomly filled (they are not retried) *)
   skipped : int;  (** faults never attempted (budget exhausted) *)
   coverage : float;  (** detected / (total - untestable) *)
 }

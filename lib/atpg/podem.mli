@@ -14,7 +14,10 @@ type result =
       (** Test cube over [Circuit.sources c] (positional); unassigned
           positions are [X] and may be filled freely. *)
   | Untestable  (** Proven redundant within the search space. *)
-  | Aborted  (** Backtrack limit exceeded. *)
+  | Aborted
+      (** Search given up: either the backtrack limit or the iteration
+          limit (see {!generate}) was exceeded. Says nothing about
+          testability. *)
 
 val generate :
   ?guide:Scoap.t ->

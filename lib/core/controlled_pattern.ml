@@ -29,15 +29,13 @@ let find ?(backtrack_limit = 50) ~direction c ~muxable =
   let engine =
     Justify.create ~backtrack_limit c ~controllable:controlled ~direction
   in
-  let values = Sim.Ternary_sim.make_values c Logic.X in
-  Sim.Ternary_sim.propagate c values;
   let failed = Array.make (Circuit.node_count c) false in
   let blocked_gates = ref 0 and failed_gates = ref 0 in
-  let values = ref values in
   let continue_ = ref true in
   while !continue_ do
     Telemetry.Counter.inc m_tns_rounds;
-    let state = Tns.compute c ~values:!values ~seeds ~failed in
+    let values = Justify.values engine in
+    let state = Tns.compute c ~values ~seeds ~failed in
     match Tns.pick_largest_load c state.Tns.tgs with
     | None -> continue_ := false
     | Some mc_tg ->
@@ -51,31 +49,24 @@ let find ?(backtrack_limit = 50) ~direction c ~muxable =
       let candidates =
         Array.to_list nd.fanins
         |> List.filter (fun f ->
-               (not state.Tns.tns.(f)) && Logic.equal !values.(f) Logic.X)
+               (not state.Tns.tns.(f)) && Logic.equal values.(f) Logic.X)
         |> Justify.order_candidates engine ~value:cv
       in
-      let rec try_inputs = function
-        | [] -> false
-        | input :: rest ->
-          (match Justify.justify engine ~values:!values input cv with
-          | Some assigned ->
-            values := assigned;
-            true
-          | None -> try_inputs rest)
-      in
-      if try_inputs candidates then incr blocked_gates
+      if List.exists (fun input -> Justify.attempt engine input cv) candidates
+      then incr blocked_gates
       else begin
         incr failed_gates;
         failed.(mc_tg) <- true
       end
   done;
-  let final = Tns.compute c ~values:!values ~seeds ~failed in
+  let values = Justify.values engine in
+  let final = Tns.compute c ~values ~seeds ~failed in
   Telemetry.Counter.add m_blocked !blocked_gates;
   Telemetry.Counter.add m_failed !failed_gates;
   {
-    values = !values;
+    values;
     controlled;
-    assignment = List.map (fun id -> (id, !values.(id))) controlled;
+    assignment = List.map (fun id -> (id, values.(id))) controlled;
     blocked_gates = !blocked_gates;
     failed_gates = !failed_gates;
     residual_transition_nodes = Tns.transition_count final;

@@ -8,7 +8,14 @@
     descends into. With [Leakage_directed], justifying a 1 prefers the
     minimum-leakage-observability line and justifying a 0 the maximum
     (Section 4); [Structural] reproduces the undirected C-algorithm
-    baseline (level-based easiest-first). *)
+    baseline (level-based easiest-first).
+
+    The engine keeps a propagated three-valued state of the whole
+    circuit ({!Sim.Ternary_imply}): each decision implies forward from
+    the changed input only, and a backtrack or a failed attempt undoes
+    the trail. {!attempt} advances that state in place, so a caller
+    that justifies objectives one after another (as
+    FindControlledInputPattern does) never copies or re-sweeps it. *)
 
 open Netlist
 
@@ -26,16 +33,24 @@ val create :
   t
 (** [controllable] lists the source node ids the engine may assign
     (primary inputs and multiplexed pseudo-inputs). Default backtrack
-    limit: 50. *)
+    limit: 50. The engine's state starts with every source at [X]. *)
 
 val order_candidates : t -> value:Logic.t -> int list -> int list
 (** Sort candidate lines for receiving [value] according to the
     engine's direction (used for the mc_tg input choice). *)
 
+val attempt : t -> int -> Logic.t -> bool
+(** [attempt t node v] tries to drive [node] to [v] from the engine's
+    current state by assigning controlled inputs only. On success the
+    state keeps the new assignment; on failure it is left exactly as
+    before. Never un-assigns a value already definite. *)
+
+val values : t -> Logic.t array
+(** Fresh node-indexed copy of the engine's propagated state. *)
+
 val justify : t -> values:Logic.t array -> int -> Logic.t -> Logic.t array option
-(** [justify t ~values node v] attempts to drive [node] to [v] by
-    assigning controlled inputs only, starting from the given
-    three-valued assignment. On success returns the new fully
-    propagated assignment (a fresh array; the input is not mutated);
-    on failure returns [None]. Never un-assigns a value already
-    definite in [values]. *)
+(** [justify t ~values node v]: {!attempt} from the given three-valued
+    assignment (its sources are loaded into the engine and
+    propagated). On success returns the new fully propagated
+    assignment (a fresh array; the input is not mutated); on failure
+    returns [None]. *)

@@ -52,7 +52,13 @@ type t = {
   level_population : int array;
   (* structural preprocessing for fault propagation: observables,
      fanout-free regions and propagation dominators (all with respect
-     to the combinational core — DFF nodes never propagate) *)
+     to the combinational core — DFF nodes never propagate). Forced by
+     the first accessor: only fault simulation reads them, and most
+     compilations (the scan, ternary and leakage evaluators) never do. *)
+  analysis : analysis Lazy.t;
+}
+
+and analysis = {
   observable : bool array;
   reaches_observable : bool array;
   ffr_stem : int array;
@@ -184,10 +190,14 @@ let of_circuit c =
         incr pos
       end)
     topo;
-  let observable = compute_observable n opcode fanin_off fanin in
-  let ffr_stem, stems = compute_ffr n opcode fanout_off fanout topo in
-  let reaches_observable, idom, idom_depth =
-    compute_idom n opcode fanout_off fanout topo observable
+  let analysis =
+    lazy
+      (let observable = compute_observable n opcode fanin_off fanin in
+       let ffr_stem, stems = compute_ffr n opcode fanout_off fanout topo in
+       let reaches_observable, idom, idom_depth =
+         compute_idom n opcode fanout_off fanout topo observable
+       in
+       { observable; reaches_observable; ffr_stem; stems; idom; idom_depth })
   in
   {
     circuit = c;
@@ -202,12 +212,7 @@ let of_circuit c =
     levels;
     max_level;
     level_population;
-    observable;
-    reaches_observable;
-    ffr_stem;
-    stems;
-    idom;
-    idom_depth;
+    analysis;
   }
 
 let circuit t = t.circuit
@@ -224,12 +229,12 @@ let max_level t = t.max_level
 let level_population t = t.level_population
 let is_source t id = t.opcode.(id) <= op_dff
 let is_logic t id = t.opcode.(id) >= op_buf
-let observable t = t.observable
-let reaches_observable t = t.reaches_observable
-let ffr_stem t = t.ffr_stem
-let stems t = t.stems
-let idom t = t.idom
-let idom_depth t = t.idom_depth
+let observable t = (Lazy.force t.analysis).observable
+let reaches_observable t = (Lazy.force t.analysis).reaches_observable
+let ffr_stem t = (Lazy.force t.analysis).ffr_stem
+let stems t = (Lazy.force t.analysis).stems
+let idom t = (Lazy.force t.analysis).idom
+let idom_depth t = (Lazy.force t.analysis).idom_depth
 let exit_id t = t.n
 
 (* Tail-recursive folds over a CSR fanin slice: no closures, no

@@ -83,7 +83,9 @@ val level_population : t -> int array
 
     All with respect to the combinational core: a DFF node never
     propagates (its D pin is where an effect is observed), so the
-    propagation DAG is the fanout graph minus edges into DFFs. *)
+    propagation DAG is the fanout graph minus edges into DFFs.
+    Computed together on the first call to any of these accessors,
+    so a compilation that only evaluates never pays for them. *)
 
 val observable : t -> bool array
 (** [observable.(id)] iff a value change on node [id] is directly

@@ -29,3 +29,26 @@ val expected_gate_leakage_na : Circuit.t -> p_one:float array -> int -> float
     leakage-observability propagation. *)
 
 val expected_total_leakage_uw : Circuit.t -> p_one:float array -> float
+
+(** {1 Scoring many states at once}
+
+    A [model] holds a circuit's compiled form and one state -> nA row
+    per logic gate, so scoring a state costs one table read per gate
+    instead of a cell lookup. *)
+
+type model
+
+val model : Circuit.t -> model
+(** @raise Invalid_argument if a logic gate has no library cell. *)
+
+val model_compiled : model -> Compiled.t
+
+val lane_leakage_uw : model -> int64 array -> lanes:int -> float array -> unit
+(** [lane_leakage_uw m words ~lanes out]: [words] holds one 64-lane
+    word per node (lane [l] of a node is bit [l]), e.g. after
+    {!Compiled.eval_words}. For each lane [l < lanes], [out.(l)] gets
+    the static power (uW) of that lane's node values. Gates are summed
+    in node-id order, so each lane equals {!total_leakage_uw} of the
+    same values bit for bit.
+    @raise Invalid_argument unless [0 <= lanes <= 64] and [out] holds
+    [lanes] entries. *)
