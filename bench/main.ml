@@ -496,12 +496,9 @@ let kernels () =
       let _, compile_s =
         time ~reps:10 (fun () -> Netlist.Compiled.of_circuit c)
       in
-      (* width pinned to 1: this is the historical baseline metric the
-         committed BENCH pairs against; the auto-width point below is
-         what an unannotated [measure] call actually runs *)
       let packed, packed_s =
         time ~reps:shift_reps (fun () ->
-            Scan.Scan_sim.measure ~engine:Scan.Scan_sim.Packed ~width:1 c chain
+            Scan.Scan_sim.measure ~engine:Scan.Scan_sim.Packed c chain
               Scan.Scan_sim.traditional ~vectors)
       in
       let scalar, scalar_s =
@@ -516,39 +513,6 @@ let kernels () =
         packed.Scan.Scan_sim.per_cycle_toggles
         <> scalar.Scan.Scan_sim.per_cycle_toggles
       then failwith (name ^ ": packed/scalar per-cycle toggle mismatch");
-      (* W-word batches: same measurement at 256 and 512 patterns per
-         pass; each must reproduce the W=1 toggle counts bit for bit
-         before its timing is trusted *)
-      let wide_shift width =
-        let r, s =
-          time ~reps:shift_reps (fun () ->
-              Scan.Scan_sim.measure ~engine:Scan.Scan_sim.Packed ~width c
-                chain Scan.Scan_sim.traditional ~vectors)
-        in
-        if r.Scan.Scan_sim.toggles <> packed.Scan.Scan_sim.toggles then
-          failwith
-            (Printf.sprintf "%s: packed W=%d toggle mismatch" name width);
-        if
-          r.Scan.Scan_sim.per_cycle_toggles
-          <> packed.Scan.Scan_sim.per_cycle_toggles
-        then
-          failwith
-            (Printf.sprintf "%s: packed W=%d per-cycle mismatch" name width);
-        s
-      in
-      let packed_w4_s = wide_shift 4 in
-      let packed_w8_s = wide_shift 8 in
-      (* the width [measure] picks on its own when none is given: one
-         scan segment per frame, so short chains stop paying for dead
-         lanes (this is the configuration every non-bench caller gets) *)
-      let auto_w = Scan.Scan_sim.auto_width chain in
-      let packed_auto, packed_auto_s =
-        time ~reps:shift_reps (fun () ->
-            Scan.Scan_sim.measure ~engine:Scan.Scan_sim.Packed c chain
-              Scan.Scan_sim.traditional ~vectors)
-      in
-      if packed_auto.Scan.Scan_sim.toggles <> packed.Scan.Scan_sim.toggles then
-        failwith (name ^ ": packed auto-width toggle mismatch");
       let faults = Atpg.Fault.collapsed_faults c in
       (* both fault-sim engines on persistent machines: the cone
          reference and the critical-path-tracing engine must agree
@@ -594,11 +558,11 @@ let kernels () =
       let speedup = scalar_s /. Float.max 1e-9 packed_s in
       Format.printf
         "%-8s compile %7.4fs | shift sim: packed %8.4fs vs scalar %8.4fs \
-         (%5.1fx) | W4 %8.4fs W8 %8.4fs | fault sim: cpt %7.3fs vs cone \
-         %7.3fs (%5.1fx, %.2e ev/s, %d/%d detected)@."
-        name compile_s packed_s scalar_s speedup packed_w4_s packed_w8_s
-        fault_cpt_s fault_cone_s fault_speedup fault_events_s
-        (List.length detected) (List.length faults);
+         (%5.1fx) | fault sim: cpt %7.3fs vs cone %7.3fs (%5.1fx, %.2e \
+         ev/s, %d/%d detected)@."
+        name compile_s packed_s scalar_s speedup fault_cpt_s fault_cone_s
+        fault_speedup fault_events_s (List.length detected)
+        (List.length faults);
       kernels_json :=
         ( name,
           Telemetry.Json.Obj
@@ -610,23 +574,9 @@ let kernels () =
               ( "total_toggles",
                 Telemetry.Json.Int packed.Scan.Scan_sim.total_toggles );
               ("compile_s", Telemetry.Json.Float compile_s);
-              ("packed_width", Telemetry.Json.Int 8);
               ("packed_shift_s", Telemetry.Json.Float packed_s);
-              ("packed_shift_w4_s", Telemetry.Json.Float packed_w4_s);
-              ("packed_shift_w8_s", Telemetry.Json.Float packed_w8_s);
               ("scalar_shift_s", Telemetry.Json.Float scalar_s);
               ("packed_speedup", Telemetry.Json.Float speedup);
-              ( "packed_w4_speedup",
-                Telemetry.Json.Float (packed_s /. Float.max 1e-9 packed_w4_s)
-              );
-              ( "packed_w8_speedup",
-                Telemetry.Json.Float (packed_s /. Float.max 1e-9 packed_w8_s)
-              );
-              ("packed_auto_width", Telemetry.Json.Int auto_w);
-              ("packed_shift_auto_s", Telemetry.Json.Float packed_auto_s);
-              ( "packed_auto_speedup",
-                Telemetry.Json.Float (packed_s /. Float.max 1e-9 packed_auto_s)
-              );
               ("fault_sim_s", Telemetry.Json.Float fault_cpt_s);
               ("fault_sim_cone_s", Telemetry.Json.Float fault_cone_s);
               ("fault_sim_cpt_s", Telemetry.Json.Float fault_cpt_s);
@@ -945,7 +895,7 @@ let write_bench_json () =
     let doc =
       Telemetry.Json.Obj
         [
-          ("schema", Telemetry.Json.String "scanpower.bench_kernels/4");
+          ("schema", Telemetry.Json.String "scanpower.bench_kernels/5");
           ("fast", Telemetry.Json.Bool fast);
           ("circuits", Telemetry.Json.Obj (List.rev !kernels_json));
         ]

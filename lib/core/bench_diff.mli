@@ -9,16 +9,14 @@
     - {e times} ([_s] suffix) regress when
       [new > old * (1 + time_threshold)];
     - {e rates} ([_speedup] / [_events_s] suffixes, higher is better)
-      regress when [new < old * (1 - rate_threshold)];
-    - {e config} ([packed_width], [packed_auto_width]) records how
-      the run was set up and never regresses — a change is visible in
-      the table but deliberate by definition.
+      regress when [new < old * (1 - rate_threshold)].
 
-    Accepts the [scanpower.bench_kernels/1] to [/4] schemas and pairs
+    Accepts the [scanpower.bench_kernels/1] to [/5] schemas and pairs
     their shared metrics, so an older baseline gates a newer run — the
     /2 additions (W-word timings) and /3 additions (scale-tier fields)
     simply pass as new metrics. /4 dropped the domain-sharded and
-    PPSFP fields, which an older baseline reports as missing.
+    PPSFP fields and /5 the W-word packed-scan fields, which an older
+    baseline reports as missing.
 
     Both thresholds default to [0.5] (±50%), loose enough to absorb
     run-to-run noise on one machine while still catching a 2x
@@ -39,13 +37,11 @@ val load : string -> file
     ([Io] / [Parse]) on unreadable or malformed input, including a
     schema mismatch. *)
 
-type kind = Count | Time | Rate | Config
+type kind = Count | Time | Rate
 
 val kind_of_metric : string -> kind
 (** Suffix convention: [_speedup]/[_events_s] → [Rate], other [_s] →
-    [Time], the literal names
-    [packed_width]/[packed_auto_width] → [Config] (deliberate
-    run configuration, never a regression), everything else → [Count].
+    [Time], everything else → [Count].
     Gate-bearing rates are additionally pinned by literal name
     ([serve_warm_speedup]) so the serve stage's amortisation contract
     is gated even if the suffix convention drifts. *)

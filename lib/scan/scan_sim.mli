@@ -46,9 +46,10 @@ type engine =
           golden reference implementation. *)
   | Packed
       (** 64 consecutive scan cycles per 64-bit word
-          ({!Sim.Packed_sim}): per-cycle toggles are recovered by
-          popcounting lane-to-lane XORs and leakage is updated only at
-          the lanes where a gate's input state changed.  Produces
+          ({!Sim.Packed_sim}); a longer scan segment runs as several
+          64-lane frames. Per-cycle toggles are recovered by
+          popcounting lane-to-lane XORs and per-lane leakage is counted
+          bit-sliced over each frame.  Produces
           bit-identical toggle counts, per-cycle series, dynamic power
           and responses; the static-power figures agree up to float
           accumulation order. *)
@@ -67,15 +68,8 @@ type result = {
   avg_capture_static_uw : float;  (** mean leakage at capture cycles *)
 }
 
-val auto_width : Scan_chain.t -> int
-(** The packed width {!measure}/{!responses} pick when [?width] is
-    omitted: [ceil((chain length + 2) / 64)] words — one scan segment
-    (load + shifts + capture) per frame — capped at
-    {!Sim.Packed_sim.max_width}. *)
-
 val measure :
   ?engine:engine ->
-  ?width:int ->
   ?init_state:bool array ->
   Circuit.t ->
   Scan_chain.t ->
@@ -84,19 +78,12 @@ val measure :
   result
 (** [vectors] are fully-specified source assignments (positional over
     [Circuit.sources]): the PI part is applied at capture, the state
-    part is shifted in.  [engine] defaults to [Packed]; [width]
-    (1..8) selects the packed engine's word batch — W words carry
-    [64*W] scan cycles per combinational sweep ({!Sim.Packed_sim})
-    and every width produces bit-identical toggle counts. When
-    omitted, the width is chosen automatically ({!auto_width}): just
-    enough words to hold one scan segment, so short chains are not
-    charged for dead lanes. Ignored by [Scalar].
+    part is shifted in.  [engine] defaults to [Packed].
     @raise Invalid_argument on malformed vectors, forced non-dff nodes
     or an unmapped circuit. *)
 
 val responses :
   ?engine:engine ->
-  ?width:int ->
   ?init_state:bool array ->
   Circuit.t ->
   Scan_chain.t ->

@@ -24,7 +24,6 @@ let kind_name = function
   | D.Count -> "count"
   | D.Time -> "time"
   | D.Rate -> "rate"
-  | D.Config -> "config"
 
 let check_kind_classification () =
   let check name expected =
@@ -37,18 +36,15 @@ let check_kind_classification () =
   check "fault_sim_cpt_s" D.Time;
   check "fault_sim_pattern_p99_s" D.Time;
   check "fault_sim_cone_s" D.Time;
-  check "packed_shift_w8_s" D.Time;
+  check "packed_shift_s" D.Time;
+  check "scalar_shift_s" D.Time;
   check "packed_speedup" D.Rate;
-  check "packed_w4_speedup" D.Rate;
-  check "packed_auto_speedup" D.Rate;
+  check "fault_sim_speedup" D.Rate;
   (* the [_events_s] suffix wins over the bare [_s] time suffix *)
   check "fault_sim_events_s" D.Rate;
   check "faults_detected" D.Count;
   (* gate-bearing rate pinned by literal name, independent of suffix *)
-  check "serve_warm_speedup" D.Rate;
-  (* run configuration, compared but never gating *)
-  check "packed_width" D.Config;
-  check "packed_auto_width" D.Config
+  check "serve_warm_speedup" D.Rate
 
 let check_identical_is_clean () =
   let f = mk [ ("s344", base_metrics) ] in
@@ -130,19 +126,6 @@ let write_temp text =
   Out_channel.with_open_bin path (fun oc -> output_string oc text);
   path
 
-let check_config_change_is_clean () =
-  (* a deliberate re-run at a different width must not gate *)
-  let old_m =
-    ("packed_width", D.I 8) :: ("packed_auto_width", D.I 4) :: base_metrics
-  in
-  let new_m =
-    ("packed_width", D.I 4) :: ("packed_auto_width", D.I 2) :: base_metrics
-  in
-  let r = D.diff (mk [ ("s344", old_m) ]) (mk [ ("s344", new_m) ]) in
-  Alcotest.(check bool) "config drift never regresses" false
-    (D.has_regression r);
-  Alcotest.(check int) "still compared" (List.length new_m) r.D.compared
-
 let check_schema_bump_pairs () =
   (* a /1 baseline gates a /2 file: shared metrics pair, /2 additions
      pass *)
@@ -203,7 +186,28 @@ let check_schema_bump_pairs () =
   Alcotest.(check int) "/3-/4 shared metrics paired" 1 r''.D.compared;
   Alcotest.(check (list (pair string string))) "/3-only metric missing"
     [ ("s344", "fault_sim_ppsfp_s") ]
-    r''.D.only_old_metrics
+    r''.D.only_old_metrics;
+  (* /5 dropped the W-word packed-scan fields the same way *)
+  let p4' =
+    write_temp
+      "{\"schema\":\"scanpower.bench_kernels/4\",\"fast\":true,\
+       \"circuits\":{\"s344\":{\"nodes\":195,\"packed_shift_s\":2.0e-03,\
+       \"packed_w4_speedup\":0.8}}}"
+  in
+  let p5 =
+    write_temp
+      "{\"schema\":\"scanpower.bench_kernels/5\",\"fast\":true,\
+       \"circuits\":{\"s344\":{\"nodes\":195,\"packed_shift_s\":2.1e-03}}}"
+  in
+  let old_5 = D.load p4' and new_5 = D.load p5 in
+  Sys.remove p4';
+  Sys.remove p5;
+  let r5 = D.diff old_5 new_5 in
+  Alcotest.(check int) "/4-/5 shared metrics paired" 2 r5.D.compared;
+  Alcotest.(check (list (pair string string))) "/4-only metric missing"
+    [ ("s344", "packed_w4_speedup") ]
+    r5.D.only_old_metrics;
+  Alcotest.(check bool) "the missing metric gates" true (D.has_regression r5)
 
 (* the serve stage's amortisation contract: a serve_warm_speedup drop
    beyond the rate threshold must gate, through the literal-name pin,
@@ -295,8 +299,6 @@ let suite =
     Alcotest.test_case "missing metric regresses" `Quick
       check_missing_metric_regresses;
     Alcotest.test_case "additions are clean" `Quick check_additions_are_clean;
-    Alcotest.test_case "config change is clean" `Quick
-      check_config_change_is_clean;
     Alcotest.test_case "schema bump pairs metrics" `Quick
       check_schema_bump_pairs;
     Alcotest.test_case "serve_warm_speedup gates as a rate" `Quick
